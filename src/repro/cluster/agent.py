@@ -42,22 +42,14 @@ from repro import kernels
 from repro.cluster.config import ClusterConfig
 from repro.cluster.dataplane import RoundBuffers, combine_pairs
 from repro.cluster.directory import DirectoryState
-from repro.cluster.edgestore import (
-    DirtyLog,
-    EdgeStore,
-    IdSet,
-    ValueColumn,
-    as_column,
-    as_dirty_log,
-    as_edge_store,
-    as_idset,
-)
+from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
 from repro.cluster.metrics import AgentMetrics
 from repro.cluster.recovery import (
     Checkpoint,
     RecoveryStore,
+    Rows,
+    StateArrays,
     copy_active,
-    copy_store,
     copy_values,
 )
 from repro.net.message import Message, PacketType
@@ -71,30 +63,6 @@ from repro.partition.placer import EdgePlacer
 from repro.hashing.ring import ConsistentHashRing
 from repro.sim.entity import Entity
 from repro.sketch.countmin import CountMinSketch
-
-
-def _ids_vals(obj) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalize migrated vertex-state payloads — an (ids, values)
-    array pair, or a legacy ``{vertex: value}`` dict — to arrays."""
-    if isinstance(obj, tuple):
-        ids, vals = obj
-        return np.asarray(ids, dtype=np.int64), np.asarray(vals, dtype=np.float64)
-    if not obj:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    ids = np.fromiter(obj.keys(), dtype=np.int64, count=len(obj))
-    vals = np.fromiter(obj.values(), dtype=np.float64, count=len(obj))
-    return ids, vals
-
-
-def _ids_arr(obj) -> np.ndarray:
-    """Normalize a migrated activation payload — an id array, or a
-    legacy list/set of vertex ids — to an int64 array."""
-    if isinstance(obj, np.ndarray):
-        return obj.astype(np.int64, copy=False)
-    obj = list(obj)
-    if not obj:
-        return np.empty(0, dtype=np.int64)
-    return np.asarray(obj, dtype=np.int64)
 
 
 class _VertexTable:
@@ -502,33 +470,6 @@ class Agent(Entity):
         hosted = np.union1d(self.out_store.unique_keys, self.in_store.unique_keys)
         self._check_split_threshold(hosted)
 
-    def _store_arrays(self, store) -> Tuple[np.ndarray, np.ndarray]:
-        """(keys, others) arrays of an adjacency store, keys ascending
-        and values ascending within each key.
-
-        For an :class:`EdgeStore` this is a zero-copy view of the
-        storage itself (the store keeps exactly this layout, versioned
-        by its mutation counter); the dict path flattens legacy
-        dict-of-sets stores, for tests and WAL-replay scaffolding."""
-        if isinstance(store, EdgeStore):
-            return store.arrays()
-        if not store:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        keys = np.fromiter(store.keys(), dtype=np.int64, count=len(store))
-        keys.sort()
-        counts = np.fromiter(
-            (len(store[int(k)]) for k in keys), dtype=np.int64, count=len(keys)
-        )
-        total = int(counts.sum())
-        rep_keys = np.repeat(keys, counts)
-        vals = np.fromiter(
-            (v for k in keys for v in store[int(k)]), dtype=np.int64, count=total
-        )
-        # ``rep_keys`` is already key-sorted, so the stable (key, val)
-        # lexsort only orders the values within each key's segment.
-        order = np.lexsort((vals, rep_keys))
-        return rep_keys, vals[order]
-
     def _migrate_misplaced(self) -> None:
         """Re-evaluate every resident edge's owner; forward the rest.
 
@@ -542,7 +483,7 @@ class Agent(Entity):
         total_edges = self.n_out_edges + self.n_in_edges
         self.charge(costs.elga_migrate_check * total_edges)
         for role, store in (("out", self.out_store), ("in", self.in_store)):
-            keys, others = self._store_arrays(store)
+            keys, others = store.arrays()
             if len(keys) == 0:
                 continue
             if role == "out":
@@ -585,15 +526,14 @@ class Agent(Entity):
                 # Vectorized state join: the owned ids' rows of each
                 # program's columns, shipped as (ids, values) arrays.
                 values = {
-                    prog: as_column(col).select(owned)
-                    for prog, col in self.persistent.items()
+                    prog: col.select(owned) for prog, col in self.persistent.items()
                 }
                 active = {
-                    prog: owned[as_idset(aset).isin(owned)]
+                    prog: owned[aset.isin(owned)]
                     for prog, aset in self.persistent_active.items()
                 }
                 scatter = {
-                    prog: as_column(col).select(owned)
+                    prog: col.select(owned)
                     for prog, col in self.persistent_scatter.items()
                 }
                 token = self._new_migration_token()
@@ -615,7 +555,6 @@ class Agent(Entity):
                     self._agent_address(target), PacketType.EDGE_MIGRATE, payload
                 )
                 self._migration_acks_pending += 1
-        self._prune_stores()
         self._prune_departed_state()
         self._maybe_finish_leaving()
 
@@ -626,23 +565,9 @@ class Agent(Entity):
         stale values from ever being re-shipped or re-collected.
         """
         hosted = np.union1d(self.out_store.unique_keys, self.in_store.unique_keys)
-        for name, col in list(self.persistent.items()):
-            col = self.persistent[name] = as_column(col)
-            col.restrict(hosted)
-        for name, aset in list(self.persistent_active.items()):
-            aset = self.persistent_active[name] = as_idset(aset)
-            aset.restrict(hosted)
-        for name, col in list(self.persistent_scatter.items()):
-            col = self.persistent_scatter[name] = as_column(col)
-            col.restrict(hosted)
-
-    def _prune_stores(self) -> None:
-        for store in (self.out_store, self.in_store):
-            if isinstance(store, EdgeStore):
-                continue  # never keeps empty adjacency keys
-            empty = [k for k, s in store.items() if not s]
-            for k in empty:
-                del store[k]
+        for state in (self.persistent, self.persistent_active, self.persistent_scatter):
+            for entry in state.values():
+                entry.restrict(hosted)
 
     def _new_migration_token(self) -> int:
         """A ledger token unique across agents (hop acks echo foreign
@@ -830,7 +755,8 @@ class Agent(Entity):
         # Apply local changes (one vectorized batch over the store).
         store = self.out_store if role == "out" else self.in_store
         rows = np.nonzero(mine)[0]
-        app_k, app_o, app_a = self._apply_rows(store, own[rows], other[rows], actions[rows])
+        self.perf.add("ingest_rows_vectorized", len(rows))
+        app_k, app_o, app_a = store.apply(own[rows], other[rows], actions[rows])
         n_applied = len(app_k)
         inserts = app_k[app_a > 0]
         removes = app_k[app_a < 0]
@@ -855,37 +781,29 @@ class Agent(Entity):
         # Migrated vertex state rides along with the edges — but only
         # the final owner keeps it (a forwarding hop that merged values
         # for edges passing through would hoard stale state).
-        wal_values: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
+        wal_values: Optional[StateArrays] = None
         wal_active: Optional[Dict[str, np.ndarray]] = None
-        wal_scatter: Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]] = None
+        wal_scatter: Optional[StateArrays] = None
         if len(rows):
             kept = np.unique(own[rows])
-            for prog, incoming in payload.get("values", {}).items():
-                ids, vals = _ids_vals(incoming)
+            for prog, (ids, vals) in payload.get("values", {}).items():
                 m = np.isin(ids, kept)
                 if m.any():
-                    col = self.persistent[prog] = as_column(self.persistent.get(prog))
-                    col.set_many(ids[m], vals[m])
+                    self.persistent.setdefault(prog, ValueColumn()).set_many(ids[m], vals[m])
                     wal_values = wal_values or {}
                     wal_values[prog] = (ids[m], vals[m])
-            for prog, actives in payload.get("active", {}).items():
-                ids = _ids_arr(actives)
+            for prog, ids in payload.get("active", {}).items():
                 ids = ids[np.isin(ids, kept)]
                 if len(ids):
-                    aset = self.persistent_active[prog] = as_idset(
-                        self.persistent_active.get(prog)
-                    )
-                    aset.update(ids)
+                    self.persistent_active.setdefault(prog, IdSet()).update(ids)
                     wal_active = wal_active or {}
                     wal_active[prog] = ids
-            for prog, incoming in payload.get("scatter", {}).items():
-                ids, vals = _ids_vals(incoming)
+            for prog, (ids, vals) in payload.get("scatter", {}).items():
                 m = np.isin(ids, kept)
                 if m.any():
-                    col = self.persistent_scatter[prog] = as_column(
-                        self.persistent_scatter.get(prog)
+                    self.persistent_scatter.setdefault(prog, ValueColumn()).set_many(
+                        ids[m], vals[m]
                     )
-                    col.set_many(ids[m], vals[m])
                     wal_scatter = wal_scatter or {}
                     wal_scatter[prog] = (ids[m], vals[m])
 
@@ -913,103 +831,6 @@ class Agent(Entity):
                     PacketType.EDGE_UPDATE_ACK,
                     {"token": payload.get("token"), "count": int(len(rows))},
                 )
-
-    def _apply_rows(
-        self,
-        store,
-        keys: np.ndarray,
-        vals: np.ndarray,
-        actions: np.ndarray,
-    ):
-        """Apply one batch of locally-owned edge mutations to ``store``.
-
-        With an :class:`EdgeStore` the whole batch applies array-native
-        (dedup, membership, and merge are all vectorized) and the
-        *effective* rows come back as ``(keys, others, actions)``
-        arrays in deterministic (inserts-then-removes, key, value)
-        order — duplicates and no-ops drop out exactly as a row-by-row
-        walk would.  A batch that both inserts and removes the same
-        pair is the one case routed through a strict-order sequential
-        path.  The legacy dict-of-sets path (tests, replay scaffolding)
-        returns a list of ``(key, other, action)`` tuples with the same
-        semantics.
-        """
-        if isinstance(store, EdgeStore):
-            self.perf.add("ingest_rows_vectorized", len(keys))
-            return store.apply(keys, vals, actions)
-        if len(keys) == 0:
-            return []
-        ins = actions > 0
-        if ins.any() and not ins.all():
-            inserted = set(zip(keys[ins].tolist(), vals[ins].tolist()))
-            removed = set(zip(keys[~ins].tolist(), vals[~ins].tolist()))
-            if inserted & removed:
-                return self._apply_rows_sequential(store, keys, vals, actions)
-        self.perf.add("ingest_rows_vectorized", len(keys))
-        applied = self._apply_row_group(store, keys[ins], vals[ins], insert=True)
-        applied += self._apply_row_group(store, keys[~ins], vals[~ins], insert=False)
-        return applied
-
-    def _apply_row_group(
-        self, store: Dict[int, Set[int]], keys: np.ndarray, vals: np.ndarray, insert: bool
-    ) -> List[Tuple[int, int, int]]:
-        applied: List[Tuple[int, int, int]] = []
-        if len(keys) == 0:
-            return applied
-        order = np.lexsort((vals, keys))
-        k = keys[order]
-        v = vals[order]
-        bounds = np.flatnonzero(np.diff(k)) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(k)]])
-        for s, e in zip(starts, ends):
-            key = int(k[s])
-            group = set(map(int, v[s:e]))
-            bucket = store.get(key)
-            if insert:
-                if bucket is None:
-                    bucket = store[key] = set()
-                fresh = group - bucket
-                bucket |= fresh
-                applied.extend((key, val, 1) for val in sorted(fresh))
-            else:
-                if bucket is None:
-                    continue
-                gone = group & bucket
-                if gone:
-                    bucket -= gone
-                    if not bucket:
-                        del store[key]
-                    applied.extend((key, val, -1) for val in sorted(gone))
-        return applied
-
-    def _apply_rows_sequential(
-        self,
-        store: Dict[int, Set[int]],
-        keys: np.ndarray,
-        vals: np.ndarray,
-        actions: np.ndarray,
-    ) -> List[Tuple[int, int, int]]:
-        """Row-by-row fallback preserving strict batch order (needed
-        only when a batch inserts *and* removes the same pair)."""
-        applied: List[Tuple[int, int, int]] = []
-        for i in range(len(keys)):
-            key = int(keys[i])
-            val = int(vals[i])
-            bucket = store.get(key)
-            if actions[i] > 0:  # insert
-                if bucket is None:
-                    bucket = store[key] = set()
-                if val not in bucket:
-                    bucket.add(val)
-                    applied.append((key, val, 1))
-            else:  # remove
-                if bucket is not None and val in bucket:
-                    bucket.remove(val)
-                    applied.append((key, val, -1))
-                    if not bucket:
-                        del store[key]
-        return applied
 
     def _check_split_threshold(self, vertices: np.ndarray) -> None:
         """Report vertices whose estimated degree crossed the split
@@ -1130,7 +951,8 @@ class Agent(Entity):
         # view while a run is live, so this fallback never mixes
         # per-replica rounds.
         run_id, step = self._serving_final.get(prog, (-1, -1))
-        value = self.persistent.get(prog, {}).get(vertex)
+        col = self.persistent.get(prog)
+        value = col.get(vertex) if col is not None else None
         return value, run_id, step
 
     def _publish_serving_view(self, run: "_RunState") -> None:
@@ -1185,7 +1007,7 @@ class Agent(Entity):
         self.charge(costs.elga_vertex_op * len(ids))
 
         # Local out-degree (sum over out-copies held here).
-        out_keys, out_others = self._store_arrays(self.out_store)
+        out_keys, out_others = self.out_store.arrays()
         if len(ids):
             local_outdeg = np.zeros(len(ids))
             if len(out_keys):
@@ -1220,7 +1042,7 @@ class Agent(Entity):
         # Values: persisted (incremental/resume) or fresh.  Persisted
         # lookups are a searchsorted join against the sorted key array,
         # not a per-vertex dict probe.
-        persisted = as_column(self.persistent.get(program.name))
+        persisted = self.persistent.get(program.name)
         if len(ids):
             if (spec.incremental or resume) and persisted:
                 pvals, found = persisted.lookup(ids)
@@ -1247,7 +1069,7 @@ class Agent(Entity):
         # Activation.
         if len(ids):
             if resume:
-                act = as_idset(self.persistent_active.get(program.name))
+                act = self.persistent_active.get(program.name)
                 if act:
                     table.active = act.isin(ids)
                 else:
@@ -1285,7 +1107,7 @@ class Agent(Entity):
             run.out_dst_raw = np.empty(0, np.int64)
             run.out_segments = []
         if program.needs_in_and_out:
-            in_keys, in_others = self._store_arrays(self.in_store)
+            in_keys, in_others = self.in_store.arrays()
             if len(in_keys):
                 # In-copy (u, v) is stored keyed by v; the reverse
                 # message (v -> u) goes to the holder of the out-copy.
@@ -1389,7 +1211,7 @@ class Agent(Entity):
         table.last_sent = np.full(n, np.nan)
         normal = table.split_k == 1
         if resume:
-            sstore = as_column(self.persistent_scatter.get(program.name))
+            sstore = self.persistent_scatter.get(program.name)
             if sstore:
                 svals, found = sstore.lookup(table.ids)
                 table.last_sent = np.where(found, svals, np.nan)
@@ -1415,7 +1237,7 @@ class Agent(Entity):
                 table.values[pos], np.maximum(outdeg_old, 1.0)
             )
             table.last_sent[pos] = np.where(outdeg_old > 0, old_base, 0.0)
-        sstore = as_column(self.persistent_scatter.get(program.name))
+        sstore = self.persistent_scatter.get(program.name)
         if sstore:
             svals, sfound = sstore.lookup(table.ids)
             found = sfound & normal
@@ -1439,7 +1261,7 @@ class Agent(Entity):
         keys, others, actions = pend["out"]
         program = run.program
         costs = self.config.costs
-        persisted = as_column(self.persistent.get(program.name))
+        persisted = self.persistent.get(program.name, ValueColumn())
         uniq, inv = np.unique(keys, return_inverse=True)
         vals_u, _ = persisted.lookup(uniq, default=0.0)
         outdeg_now = self.out_store.degrees(uniq).astype(np.float64)
@@ -1456,7 +1278,7 @@ class Agent(Entity):
         # from an earlier delta run it overrides the program's
         # old-degree reconstruction, exactly as _init_last_sent does —
         # seed and baseline must agree or residual accounting drifts.
-        sstore = as_column(self.persistent_scatter.get(program.name))
+        sstore = self.persistent_scatter.get(program.name)
         if sstore:
             base_u = sstore.lookup(uniq, default=np.nan)[0][inv]
             have = ~np.isnan(base_u)
@@ -2217,10 +2039,9 @@ class Agent(Entity):
         run = self.run
         if run is None:
             return
-        if isinstance(payload, dict) and int(payload.get("inc", 0)) != self._data_inc:
+        if payload["inc"] != self._data_inc:
             return  # ack for a send the rollback already wrote off
-        count = int(payload.get("count", 1)) if isinstance(payload, dict) else 1
-        run.outstanding_acks -= count
+        run.outstanding_acks -= payload["count"]
         self._check_ready()
 
     def _check_ready(self) -> None:
@@ -2292,14 +2113,10 @@ class Agent(Entity):
         if table is None:
             return
         name = run.program.name
-        store = self.persistent[name] = as_column(self.persistent.get(name))
-        act = self.persistent_active[name] = as_idset(self.persistent_active.get(name))
-        store.set_many(table.ids, table.values)
-        act.assign(table.ids, table.active)
+        self.persistent.setdefault(name, ValueColumn()).set_many(table.ids, table.values)
+        self.persistent_active.setdefault(name, IdSet()).assign(table.ids, table.active)
         if run.delta_msgs and table.last_sent is not None:
-            sstore = self.persistent_scatter[name] = as_column(
-                self.persistent_scatter.get(name)
-            )
+            sstore = self.persistent_scatter.setdefault(name, ValueColumn())
             known = ~np.isnan(table.last_sent)
             sstore.set_many(table.ids[known], table.last_sent[known])
         elif getattr(run.program, "delta_messages", False):
@@ -2480,15 +2297,13 @@ class Agent(Entity):
     def _wal_log(
         self,
         role: str,
-        rows: Any,
+        rows: Rows,
         sketched: bool,
-        values: Optional[Dict[str, Any]] = None,
-        active: Optional[Dict[str, Any]] = None,
-        scatter: Optional[Dict[str, Any]] = None,
+        values: Optional[StateArrays] = None,
+        active: Optional[Dict[str, np.ndarray]] = None,
+        scatter: Optional[StateArrays] = None,
     ) -> None:
-        # ``rows`` is either a list of (key, other, action) tuples or a
-        # (keys, others, actions) array triple from the vectorized path.
-        n_rows = len(rows[0]) if isinstance(rows, tuple) else len(rows)
+        n_rows = len(rows[0])
         if not n_rows and not values and not active and not scatter:
             return
         self._recovery.wal.append(
@@ -2529,10 +2344,8 @@ class Agent(Entity):
         persistent = copy_values(self.persistent)
         active = copy_active(self.persistent_active)
         if table is not None and len(table):
-            store = persistent[name] = as_column(persistent.get(name))
-            act = active[name] = as_idset(active.get(name))
-            store.set_many(table.ids, table.values)
-            act.assign(table.ids, table.active)
+            persistent.setdefault(name, ValueColumn()).set_many(table.ids, table.values)
+            active.setdefault(name, IdSet()).assign(table.ids, table.active)
         scatter = copy_values(self.persistent_scatter)
         if run.delta_msgs and table is not None and table.last_sent is not None:
             # Pre-scatter baselines: a rollback drops this round's
@@ -2544,12 +2357,12 @@ class Agent(Entity):
                 if run.prescatter_last_sent is not None
                 else table.last_sent
             )
-            sstore = scatter[name] = as_column(scatter.get(name))
+            sstore = scatter.setdefault(name, ValueColumn())
             known = ~np.isnan(baselines)
             sstore.set_many(table.ids[known], baselines[known])
         checkpoint = Checkpoint(
-            out_store=copy_store(self.out_store),
-            in_store=copy_store(self.in_store),
+            out_store=self.out_store.copy(),
+            in_store=self.in_store.copy(),
             persistent=persistent,
             persistent_active=active,
             sketch_delta=self.sketch_delta.copy(),
@@ -2595,15 +2408,15 @@ class Agent(Entity):
                     f"{restore_checkpoint} but the durable slot lacks it"
                 )
         if base is not None:
-            self.out_store = as_edge_store(copy_store(base.out_store))
-            self.in_store = as_edge_store(copy_store(base.in_store))
+            self.out_store = base.out_store.copy()
+            self.in_store = base.in_store.copy()
             self.persistent = copy_values(base.persistent)
             self.persistent_active = copy_active(base.persistent_active)
             self.persistent_scatter = copy_values(base.persistent_scatter)
             # Dirty rows come from the *latest* base (the WAL suffix is
             # relative to it); they never change during a run, so the
             # rollback checkpoint would carry the same rows anyway.
-            self._dirty_log = as_dirty_log(base.dirty_log).copy()
+            self._dirty_log = base.dirty_log.copy()
             self._dirty_seen = dict(base.dirty_seen)
             if base.sketch_delta is not None:
                 self.sketch_delta = base.sketch_delta.copy()
@@ -2638,7 +2451,6 @@ class Agent(Entity):
         # next delta run still sees its full frontier seed.
         self._dirty_log.extend(source.wal.sketched_rows())
         self.metrics.wal_records_replayed += replayed
-        self._prune_stores()
         self.metrics.recoveries_participated += 1
         self.restored_from = {
             "agent_id": crashed_id,
@@ -2708,7 +2520,7 @@ class Agent(Entity):
         self.persistent = copy_values(checkpoint.persistent)
         self.persistent_active = copy_active(checkpoint.persistent_active)
         self.persistent_scatter = copy_values(checkpoint.persistent_scatter)
-        self._dirty_log = as_dirty_log(checkpoint.dirty_log).copy()
+        self._dirty_log = checkpoint.dirty_log.copy()
         self._dirty_seen = dict(checkpoint.dirty_seen)
         # Serve the rolled-back checkpoint during the suspension: the
         # persistent store now holds exactly step-``step`` values, and
@@ -2864,25 +2676,19 @@ class Agent(Entity):
             table = self.run.table
             return {int(v): float(x) for v, x in zip(table.ids, table.values)}
         hosted = self._hosted_vertex_ids()
-        col = as_column(self.persistent.get(program_name))
+        col = self.persistent.get(program_name, ValueColumn())
         ids, vals = col.select(hosted)
         return {int(v): float(x) for v, x in zip(ids, vals)}
 
     @property
     def n_out_edges(self) -> int:
         """Resident out-copy edge count (derived from the store)."""
-        store = self.out_store
-        return store.n_edges if isinstance(store, EdgeStore) else sum(
-            len(s) for s in store.values()
-        )
+        return self.out_store.n_edges
 
     @property
     def n_in_edges(self) -> int:
         """Resident in-copy edge count (derived from the store)."""
-        store = self.in_store
-        return store.n_edges if isinstance(store, EdgeStore) else sum(
-            len(s) for s in store.values()
-        )
+        return self.in_store.n_edges
 
     @property
     def total_edges(self) -> int:

@@ -96,8 +96,8 @@ class NetworkStats:
         self.bytes_sent += message.size_bytes
         self.by_type_count[message.ptype] += 1
         self.by_type_bytes[message.ptype] += message.size_bytes
-        if message.ptype == PacketType.VERTEX_MSG_ACK and isinstance(message.payload, dict):
-            count = int(message.payload.get("count", 1))
+        if message.ptype == PacketType.VERTEX_MSG_ACK:
+            count = message.payload["count"]
             self.data_ack_credits += count
             if count > 1:
                 self.data_acks_batched += 1

@@ -10,9 +10,8 @@ vs off, ack batching on vs off).
 import numpy as np
 import pytest
 
-from repro.bench.counters import PerfCounters
-from repro.cluster.agent import Agent
 from repro.cluster.dataplane import RoundBuffers, combine_pairs
+from repro.cluster.edgestore import EdgeStore
 from repro.core import ElGA, PageRank
 from repro.core.algorithms import WCC
 from repro.gen import powerlaw_graph
@@ -187,72 +186,18 @@ def test_round_buffers_merge_replica_rows_in_vertex_order():
 
 
 # ----------------------------------------------------------------------
-# vectorized edge ingest (_apply_rows) and _store_arrays
+# edge ingest: a repeated row in one batch is applied once
 # ----------------------------------------------------------------------
 
 
-def _bare_agent() -> Agent:
-    agent = object.__new__(Agent)
-    agent.perf = PerfCounters()
-    return agent
-
-
-def _sequential_reference(store, keys, vals, actions):
-    return Agent._apply_rows_sequential(_bare_agent(), store, keys, vals, actions)
-
-
-def _copy_store(store):
-    return {k: set(s) for k, s in store.items()}
-
-
-def test_apply_rows_matches_sequential_semantics():
-    rng = np.random.default_rng(17)
-    for trial in range(20):
-        n = int(rng.integers(1, 60))
-        keys = rng.integers(0, 8, size=n).astype(np.int64)
-        vals = rng.integers(0, 12, size=n).astype(np.int64)
-        actions = rng.choice([1, -1], size=n).astype(np.int8)
-        store = {
-            int(k): {int(v) for v in rng.integers(0, 12, size=4)}
-            for k in rng.integers(0, 8, size=3)
-        }
-        expected_store = _copy_store(store)
-        expected = _sequential_reference(expected_store, keys, vals, actions)
-        got_store = _copy_store(store)
-        got = _bare_agent()._apply_rows(got_store, keys, vals, actions)
-        assert got_store == expected_store, f"trial {trial}: stores diverged"
-        # The applied multiset matches even when the bulk path reorders
-        # rows (order only matters for insert+remove of the same pair,
-        # which routes to the sequential path).
-        assert sorted(got) == sorted(expected), f"trial {trial}"
-
-
-def test_apply_rows_conflicting_pair_keeps_batch_order():
-    store = {1: {5}}
-    keys = np.array([1, 1], dtype=np.int64)
-    vals = np.array([5, 5], dtype=np.int64)
-    # remove (1,5) then re-insert it: strict order matters.
-    actions = np.array([-1, 1], dtype=np.int8)
-    applied = _bare_agent()._apply_rows(store, keys, vals, actions)
-    assert applied == [(1, 5, -1), (1, 5, 1)]
-    assert store == {1: {5}}
-
-
 def test_apply_rows_dedups_repeated_inserts():
-    store = {}
+    store = EdgeStore()
     keys = np.array([4, 4, 4], dtype=np.int64)
     vals = np.array([7, 7, 8], dtype=np.int64)
     actions = np.array([1, 1, 1], dtype=np.int8)
-    applied = _bare_agent()._apply_rows(store, keys, vals, actions)
-    assert applied == [(4, 7, 1), (4, 8, 1)]
+    ek, eo, ea = store.apply(keys, vals, actions)
+    assert list(zip(ek.tolist(), eo.tolist(), ea.tolist())) == [(4, 7, 1), (4, 8, 1)]
     assert store == {4: {7, 8}}
-
-
-def test_store_arrays_skips_empty_buckets():
-    arrays = Agent._store_arrays(_bare_agent(), {3: {2, 0}, 1: set(), 2: {9}})
-    keys, vals = arrays
-    assert keys.tolist() == [2, 3, 3]
-    assert vals.tolist() == [9, 0, 2]
 
 
 # ----------------------------------------------------------------------

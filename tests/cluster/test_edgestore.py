@@ -1,28 +1,19 @@
 """Array-native shard storage: EdgeStore, ValueColumn, IdSet, DirtyLog.
 
-These containers replaced the agents' per-vertex ``Dict[int, Set[int]]``
-shards and per-program value dicts; they keep the old dict/set surface
-for the tests and tools that still speak it, while the hot paths read
-the sorted parallel arrays zero-copy.  The units here pin the contract
-edges the integration suites only exercise implicitly: effective-row
-semantics of batched apply, the insert+remove same-pair fallback, the
-wide/negative id packing fallback, version-counter cache invalidation,
-and the dict-compat equality both directions.
+These containers are the only in-memory form of an agent's shard
+state; a dict/set-compatible read surface lets tests and tools compare
+them against plain dicts, while the hot paths read the sorted parallel
+arrays zero-copy.  The units here pin the contract edges the
+integration suites only exercise implicitly: effective-row semantics of
+batched apply (checked against a row-by-row reference walk), the
+insert+remove same-pair fallback, the wide/negative id packing
+fallback, version-counter cache invalidation, and the dict-compat
+equality both directions.
 """
 
 import numpy as np
-import pytest
 
-from repro.cluster.edgestore import (
-    DirtyLog,
-    EdgeStore,
-    IdSet,
-    ValueColumn,
-    as_column,
-    as_dirty_log,
-    as_edge_store,
-    as_idset,
-)
+from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
 
 
 def store_of(pairs):
@@ -34,7 +25,78 @@ def store_of(pairs):
     return s
 
 
+def sequential_walk(pairs, keys, others, actions):
+    """Row-by-row reference semantics of a mutation batch: returns the
+    final pair set and the effective (key, other, action) rows in batch
+    order."""
+    store = set(pairs)
+    effective = []
+    for k, o, a in zip(keys.tolist(), others.tolist(), actions.tolist()):
+        if a > 0 and (k, o) not in store:
+            store.add((k, o))
+            effective.append((k, o, 1))
+        elif a < 0 and (k, o) in store:
+            store.remove((k, o))
+            effective.append((k, o, -1))
+    return store, effective
+
+
+#: Id pools for the randomized check: small ids take the packed-int64
+#: pair path; wide (>= 2**31) and negative ids force the structured one.
+SMALL_IDS = np.arange(8, dtype=np.int64)
+WIDE_IDS = np.asarray([-(2**40), -7, -1, 0, 3, 2**31 - 1, 2**31, 2**40], dtype=np.int64)
+
+
 class TestEdgeStore:
+    def test_apply_matches_sequential_walk(self):
+        rng = np.random.default_rng(17)
+        conflicting = 0
+        for trial in range(20):
+            pool = WIDE_IDS if trial % 2 else SMALL_IDS
+            start = {
+                (int(k), int(o))
+                for k, o in rng.choice(pool, size=(int(rng.integers(0, 12)), 2))
+            }
+            n = int(rng.integers(1, 40))
+            keys = rng.choice(pool, size=n)
+            others = rng.choice(pool, size=n)
+            actions = rng.choice([1, -1], size=n).astype(np.int8)
+            if trial % 4 == 3:
+                # Force a same-pair insert + remove into the batch.
+                keys = np.append(keys, [keys[0], keys[0]])
+                others = np.append(others, [others[0], others[0]])
+                actions = np.append(actions, np.asarray([1, -1], dtype=np.int8))
+            expected_pairs, expected = sequential_walk(start, keys, others, actions)
+
+            s = store_of(sorted(start))
+            got = list(zip(*(col.tolist() for col in s.apply(keys, others, actions))))
+
+            k, o = s.arrays()
+            assert list(zip(k.tolist(), o.tolist())) == sorted(expected_pairs), f"trial {trial}"
+            ins = set(zip(keys[actions > 0].tolist(), others[actions > 0].tolist()))
+            rem = set(zip(keys[actions < 0].tolist(), others[actions < 0].tolist()))
+            if ins & rem:
+                # Strict batch order: the sequential fallback.
+                conflicting += 1
+                assert got == expected, f"trial {trial}"
+            else:
+                # Bulk path: inserts lexsorted, then removes lexsorted.
+                assert got == sorted(r for r in expected if r[2] > 0) + sorted(
+                    r for r in expected if r[2] < 0
+                ), f"trial {trial}"
+        assert 0 < conflicting < 20  # both paths were exercised
+
+    def test_apply_conflicting_pair_keeps_batch_order(self):
+        s = store_of([(1, 5)])
+        # Remove (1, 5) then re-insert it: strict order matters.
+        ek, eo, ea = s.apply(
+            np.asarray([1, 1], dtype=np.int64),
+            np.asarray([5, 5], dtype=np.int64),
+            np.asarray([-1, 1], dtype=np.int8),
+        )
+        assert list(zip(ek.tolist(), eo.tolist(), ea.tolist())) == [(1, 5, -1), (1, 5, 1)]
+        assert s == {1: {5}}
+
     def test_apply_returns_effective_rows_in_order(self):
         s = store_of([(1, 2), (1, 3)])
         k = np.asarray([1, 1, 4, 1], dtype=np.int64)
@@ -139,11 +201,10 @@ class TestEdgeStore:
         )
         assert s == {1: {2}} and 8 in c
 
-    def test_as_edge_store_from_dict(self):
-        s = as_edge_store({1: {2, 3}, 7: {1}})
-        assert isinstance(s, EdgeStore)
-        assert s == {1: {2, 3}, 7: {1}}
-        assert as_edge_store(s) is s
+    def test_from_dict_to_dict_roundtrip(self):
+        s = EdgeStore.from_dict({1: {3, 2}, 7: {1}, 9: set()})
+        assert s == store_of([(1, 2), (1, 3), (7, 1)])  # empty buckets drop
+        assert s.to_dict() == {1: {2, 3}, 7: {1}}
 
 
 class TestValueColumn:
@@ -160,14 +221,14 @@ class TestValueColumn:
         assert c[1] == 7.0
 
     def test_select_and_restrict(self):
-        c = as_column({1: 0.1, 2: 0.2, 3: 0.3})
+        c = ValueColumn(np.asarray([1, 2, 3]), np.asarray([0.1, 0.2, 0.3]))
         ids, vals = c.select(np.asarray([2, 9, 1], dtype=np.int64))
         assert dict(zip(ids.tolist(), vals.tolist())) == {1: 0.1, 2: 0.2}
         c.restrict(np.asarray([1, 3], dtype=np.int64))
         assert c == {1: 0.1, 3: 0.3}
 
     def test_dict_surface(self):
-        c = as_column({4: 0.5})
+        c = ValueColumn(np.asarray([4]), np.asarray([0.5]))
         assert 4 in c and len(c) == 1
         assert c.get(4) == 0.5 and c.get(5, -1.0) == -1.0
         c[6] = 0.25
@@ -177,7 +238,7 @@ class TestValueColumn:
 
 class TestIdSet:
     def test_membership_ops(self):
-        s = as_idset({3, 1})
+        s = IdSet(np.asarray([3, 1]))
         s.add(7)
         s.discard(1)
         s.discard(99)  # absent: no-op
@@ -189,7 +250,7 @@ class TestIdSet:
         ]
 
     def test_update_restrict_assign(self):
-        s = as_idset(set())
+        s = IdSet()
         s.update(np.asarray([5, 2, 5], dtype=np.int64))
         s.restrict(np.asarray([2, 9], dtype=np.int64))
         assert s == {2}
@@ -230,14 +291,14 @@ class TestDirtyLog:
         assert list(log.rows()) == [("out", 3, 3, 1)]
 
     def test_extend_accepts_log_and_tuples(self):
+        keys, others, actions = self.batch([1], [2], 1)
         a = DirtyLog()
-        a.append_batch("out", *self.batch([1], [2], 1))
+        a.append_batch("out", keys, others, actions)
         b = DirtyLog()
         b.extend(a)
-        b.extend([("in", 7, 8, -1)])
-        assert len(b) == 2
-        assert list(b.rows()) == [("out", 1, 2, 1), ("in", 7, 8, -1)]
-
-    def test_as_dirty_log_from_list(self):
-        log = as_dirty_log([("out", 1, 2, 1), ("out", 3, 4, -1)])
-        assert isinstance(log, DirtyLog) and len(log) == 2
+        keys[0] = 99  # extending from a log copies its batches
+        # (role, keys, others, actions) array batches, as the WAL's
+        # sketched_rows() hands them to a replacement agent.
+        b.extend([("in", *self.batch([7, 9], [8, 8], -1)), ("out", *self.batch([], [], 1))])
+        assert len(b) == 3
+        assert list(b.rows()) == [("out", 1, 2, 1), ("in", 7, 8, -1), ("in", 9, 8, -1)]

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
 from repro.cluster.metrics import AgentMetrics, combine_metrics
 from repro.cluster.recovery import (
     Checkpoint,
@@ -17,10 +18,27 @@ from repro.cluster.recovery import (
     EdgeWAL,
     RecoveryStore,
     copy_active,
-    copy_store,
     copy_values,
 )
 from repro.sketch.countmin import CountMinSketch
+
+
+def rows(*triples):
+    """A WAL batch — ``(keys, others, actions)`` int64 arrays — from
+    ``(key, other, action)`` triples."""
+    keys, others, actions = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T.copy()
+    return keys, others, actions
+
+
+def store_of(*edges):
+    store = EdgeStore()
+    store.apply(*rows(*((u, v, 1) for u, v in edges)))
+    return store
+
+
+def state(ids, vals):
+    """Migrated vertex state as it rides in payloads and WAL records."""
+    return np.asarray(ids, dtype=np.int64), np.asarray(vals, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -30,10 +48,10 @@ from repro.sketch.countmin import CountMinSketch
 
 def test_wal_append_replay_roundtrip():
     wal = EdgeWAL()
-    wal.append("out", [(1, 2, 1), (1, 3, 1), (4, 5, 1)], sketched=True)
-    wal.append("in", [(2, 1, 1), (3, 1, 1)], sketched=True)
-    wal.append("out", [(1, 3, -1)], sketched=True)
-    out, inn = {}, {}
+    wal.append("out", rows((1, 2, 1), (1, 3, 1), (4, 5, 1)), sketched=True)
+    wal.append("in", rows((2, 1, 1), (3, 1, 1)), sketched=True)
+    wal.append("out", rows((1, 3, -1)), sketched=True)
+    out, inn = EdgeStore(), EdgeStore()
     replayed = wal.replay(out, inn)
     assert replayed == 6
     assert out == {1: {2}, 4: {5}}
@@ -42,28 +60,29 @@ def test_wal_append_replay_roundtrip():
 
 def test_wal_remove_drops_empty_buckets():
     wal = EdgeWAL()
-    wal.append("out", [(7, 8, 1)], sketched=False)
-    wal.append("out", [(7, 8, -1)], sketched=False)
-    out, inn = {}, {}
+    wal.append("out", rows((7, 8, 1)), sketched=False)
+    wal.append("out", rows((7, 8, -1)), sketched=False)
+    out, inn = EdgeStore(), EdgeStore()
     wal.replay(out, inn)
+    # A vertex whose last edge is removed has no rows at all.
     assert out == {} and inn == {}
+    assert 7 not in out and len(out) == 0 and out.n_edges == 0
 
 
 def test_wal_empty_append_is_noop():
     wal = EdgeWAL()
-    wal.append("out", [], sketched=True)
+    wal.append("out", rows(), sketched=True)
     assert len(wal) == 0
     assert wal.records_logged == 0
 
 
 def test_wal_truncate_drops_everything():
     wal = EdgeWAL()
-    wal.append("out", [(1, 2, 1)], sketched=True)
+    wal.append("out", rows((1, 2, 1)), sketched=True)
     assert len(wal) == 1
     wal.truncate()
     assert len(wal) == 0
-    out, inn = {}, {}
-    assert wal.replay(out, inn) == 0
+    assert wal.replay(EdgeStore(), EdgeStore()) == 0
     # records_logged is a lifetime counter; truncation keeps it.
     assert wal.records_logged == 1
 
@@ -72,35 +91,50 @@ def test_wal_replays_migrated_values_and_activation():
     wal = EdgeWAL()
     wal.append(
         "out",
-        [(9, 10, 1)],
+        rows((9, 10, 1)),
         sketched=False,
-        values={"pagerank": {9: 0.25}},
-        active={"pagerank": {9}},
+        values={"pagerank": state([9], [0.25])},
+        active={"pagerank": np.asarray([9], dtype=np.int64)},
+        scatter={"pagerank": state([9], [0.125])},
     )
-    out, inn = {}, {}
-    persistent = {"pagerank": {1: 0.5}}
+    persistent = {"pagerank": ValueColumn(*state([1], [0.5]))}
     persistent_active = {}
-    wal.replay(out, inn, persistent=persistent, persistent_active=persistent_active)
+    persistent_scatter = {}
+    wal.replay(
+        EdgeStore(),
+        EdgeStore(),
+        persistent=persistent,
+        persistent_active=persistent_active,
+        persistent_scatter=persistent_scatter,
+    )
     assert persistent == {"pagerank": {1: 0.5, 9: 0.25}}
     assert persistent_active == {"pagerank": {9}}
+    assert persistent_scatter == {"pagerank": {9: 0.125}}
+    assert isinstance(persistent_active["pagerank"], IdSet)
+    assert isinstance(persistent_scatter["pagerank"], ValueColumn)
 
 
 def test_wal_value_only_record_survives_without_rows():
     wal = EdgeWAL()
-    wal.append("out", [], sketched=False, values={"wcc": {3: 3.0}})
+    wal.append("out", rows(), sketched=False, values={"wcc": state([3], [3.0])})
     persistent = {}
-    wal.replay({}, {}, persistent=persistent)
+    wal.replay(EdgeStore(), EdgeStore(), persistent=persistent)
     assert persistent == {"wcc": {3: 3.0}}
+    assert isinstance(persistent["wcc"], ValueColumn)
 
 
 def test_wal_recounts_sketched_rows_into_delta():
     wal = EdgeWAL()
-    wal.append("out", [(5, 6, 1), (5, 7, 1)], sketched=True)
-    wal.append("out", [(5, 7, -1)], sketched=True)
-    wal.append("out", [(5, 8, 1)], sketched=False)  # migration: not sketched
+    wal.append("out", rows((5, 6, 1), (5, 7, 1)), sketched=True)
+    wal.append("out", rows((5, 7, -1)), sketched=True)
+    wal.append("out", rows((5, 8, 1)), sketched=False)  # migration: not sketched
     delta = CountMinSketch(64, 3, seed=1)
-    wal.replay({}, {}, sketch_delta=delta)
+    wal.replay(EdgeStore(), EdgeStore(), sketch_delta=delta)
     assert delta.query(np.array([5]))[0] == 1  # +2 inserts, -1 remove
+    # The same sketched batches re-dirty a replacement's log.
+    log = DirtyLog()
+    log.extend(wal.sketched_rows())
+    assert list(log.rows()) == [("out", 5, 6, 1), ("out", 5, 7, 1), ("out", 5, 7, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +143,9 @@ def test_wal_recounts_sketched_rows_into_delta():
 
 
 def _checkpoint(run_id=None, step=0, edges=((1, 2),)):
-    out = {}
-    for u, v in edges:
-        out.setdefault(u, set()).add(v)
     return Checkpoint(
-        out_store=out,
-        in_store={},
+        out_store=store_of(*edges),
+        in_store=EdgeStore(),
         persistent={},
         persistent_active={},
         sketch_delta=None,
@@ -166,11 +197,14 @@ def test_prune_run_keeps_latest():
 def _fake_agent(agent_id=0):
     return SimpleNamespace(
         agent_id=agent_id,
-        out_store={1: {2, 3}},
-        in_store={2: {1}},
-        persistent={"pagerank": {1: 0.9}},
-        persistent_active={"pagerank": {1}},
+        out_store=store_of((1, 2), (1, 3)),
+        in_store=store_of((2, 1)),
+        persistent={"pagerank": ValueColumn(*state([1], [0.9]))},
+        persistent_active={"pagerank": IdSet(np.asarray([1]))},
+        persistent_scatter={},
         sketch_delta=CountMinSketch(64, 3, seed=0),
+        _dirty_log=DirtyLog(),
+        _dirty_seen={"pagerank": 0},
     )
 
 
@@ -185,15 +219,20 @@ def test_recovery_store_slots_are_stable_and_forgettable():
 def test_snapshot_agent_copies_state_and_truncates_wal():
     store = RecoveryStore()
     agent = _fake_agent(agent_id=2)
-    store.slot(2).wal.append("out", [(1, 2, 1)], sketched=True)
+    store.slot(2).wal.append("out", rows((1, 2, 1)), sketched=True)
     checkpoint = store.snapshot_agent(agent)
     assert len(store.slot(2).wal) == 0
     assert checkpoint.n_edges == 3
+    assert store.slot(2).checkpoints.latest is checkpoint
     # Deep copies: mutating the agent must not leak into the snapshot.
-    agent.out_store[1].add(99)
+    agent.out_store.apply(*rows((1, 99, 1)))
     agent.persistent["pagerank"][1] = 0.0
+    agent._dirty_log.append_batch("out", *rows((1, 99, 1)))
+    agent._dirty_seen["pagerank"] = 1
     assert checkpoint.out_store == {1: {2, 3}}
     assert checkpoint.persistent == {"pagerank": {1: 0.9}}
+    assert len(checkpoint.dirty_log) == 0
+    assert checkpoint.dirty_seen == {"pagerank": 0}
 
 
 def test_recovery_store_prune_run_spans_all_slots():
@@ -206,11 +245,12 @@ def test_recovery_store_prune_run_spans_all_slots():
 
 
 def test_copy_helpers_deep_copy():
-    out = {1: {2}}
-    vals = {"p": {1: 0.5}}
-    act = {"p": {1}}
-    c_out, c_vals, c_act = copy_store(out), copy_values(vals), copy_active(act)
-    out[1].add(3)
+    out = store_of((1, 2))
+    vals = {"p": ValueColumn(*state([1], [0.5]))}
+    act = {"p": IdSet(np.asarray([1]))}
+    c_out, c_vals, c_act = out.copy(), copy_values(vals), copy_active(act)
+    out.apply(*rows((1, 3, 1)))
+    vals["p"][1] = 0.0  # in-place overwrite of the shared id
     vals["p"][2] = 1.0
     act["p"].add(2)
     assert c_out == {1: {2}}
@@ -238,8 +278,8 @@ def test_checkpoint_plus_wal_rebuilds_every_agent_store():
     for agent_id, agent in elga.cluster.agents.items():
         slot = elga.cluster.recovery.slot(agent_id)
         base = slot.checkpoints.latest
-        out = copy_store(base.out_store) if base else {}
-        inn = copy_store(base.in_store) if base else {}
+        out = base.out_store.copy() if base else EdgeStore()
+        inn = base.in_store.copy() if base else EdgeStore()
         slot.wal.replay(out, inn)
         assert out == agent.out_store, f"agent {agent_id} out-store diverged"
         assert inn == agent.in_store, f"agent {agent_id} in-store diverged"
