@@ -59,7 +59,6 @@ def _control_plane_defaults(plan: FaultPlan, config_overrides: dict) -> None:
         config_overrides.setdefault("dir_lease_timeout", 6e-3)
     if targets & {"directory", "master"}:
         config_overrides.setdefault("heartbeat_interval", 0.005)
-        config_overrides.setdefault("lease_timeout", 0.025)
         config_overrides.setdefault("checkpoint_every", 2)
 
 
@@ -520,7 +519,6 @@ def run_serving_chaos_scenario(
         program = PageRank(max_iters=12)
     _control_plane_defaults(plan, config_overrides)
     config_overrides.setdefault("heartbeat_interval", 0.005)
-    config_overrides.setdefault("lease_timeout", 0.025)
     config_overrides.setdefault("checkpoint_every", 2)
     reference, chaos = build_engine_pair(
         plan, nodes=nodes, agents_per_node=agents_per_node, seed=seed, **config_overrides

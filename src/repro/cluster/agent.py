@@ -39,8 +39,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.cluster.config import ClusterConfig
-from repro.cluster.dataplane import RoundBuffers, combine_pairs
+from repro.cluster.config import (
+    MASTER_QUERY_BACKOFF,
+    MASTER_QUERY_RETRIES,
+    MASTER_QUERY_TIMEOUT,
+    SKETCH_DEPTH,
+    ClusterConfig,
+)
+from repro.cluster.dataplane import COALESCED_TYPES, RoundBuffers, combine_pairs
 from repro.cluster.directory import DirectoryState
 from repro.cluster.edgestore import DirtyLog, EdgeStore, IdSet, ValueColumn
 from repro.cluster.metrics import AgentMetrics
@@ -63,6 +69,14 @@ from repro.partition.placer import EdgePlacer
 from repro.hashing.ring import ConsistentHashRing
 from repro.sim.entity import Entity
 from repro.sketch.countmin import CountMinSketch
+
+#: Applied streaming mutations between SKETCH_DELTA pushes to the
+#: directory.
+SKETCH_FLUSH_EVERY = 512
+
+#: Simulated seconds a receiver accrues data-plane ack credits before
+#: flushing one cumulative VERTEX_MSG_ACK per (sender, incarnation).
+ACK_BATCH_WINDOW = 2e-5
 
 
 class _VertexTable:
@@ -165,16 +179,17 @@ class _RunState:
         # vertex-sorted arrays — partial-arrival order must not leak
         # into float sums.
         self.split_applied: Dict[int, Tuple[float, float, bool]] = {}
-        self.future_buffer: Dict[int, List[dict]] = {}  # step -> payloads
+        # Data packets that arrived ahead of their round, as
+        # (ptype, payload) records keyed by round.
+        self.future_buffer: Dict[int, List[Tuple[PacketType, dict]]] = {}
         # This round's incoming (dst, val) message batches.  They are
         # buffered, not applied on arrival: at the next ADVANCE the
         # batches are concatenated, sorted canonically, and folded into
         # the accumulators — so the aggregate is a pure function of the
-        # message *multiset*, independent of delivery order.  With
-        # coalescing on, each batch is eagerly pre-reduced to one
-        # partial per destination vertex (level 1 of the canonical
-        # reduction), so peak buffer memory is O(unique dst) rather
-        # than O(pairs).
+        # message *multiset*, independent of delivery order.  Each batch
+        # is one sender's round packet, already combined to one partial
+        # per destination vertex (level 1 of the canonical reduction),
+        # so peak buffer memory is O(unique dst) rather than O(pairs).
         self.pending_msgs: List[Tuple[np.ndarray, np.ndarray]] = []
         # Outgoing data-plane emissions of the current round, merged
         # into one struct-of-arrays packet per (destination, type) at
@@ -259,13 +274,13 @@ class Agent(Entity):
 
         # Dynamic-update plumbing.
         self.sketch_delta = CountMinSketch(
-            config.sketch_width, config.sketch_depth, seed=config.seed
+            config.sketch_width, SKETCH_DEPTH, seed=config.seed
         )
         self._delta_count = 0
         self._reported_split: Set[int] = set()
         self._buffered_updates: List[dict] = []
         self._pre_state_buffer: List[Tuple[dict, bool]] = []
-        self._pre_run_data: List[Tuple[str, dict, int]] = []
+        self._pre_run_data: List[Tuple[PacketType, dict]] = []
 
         # Elasticity.
         self.leaving = False
@@ -376,12 +391,8 @@ class Agent(Entity):
             self._on_run_start(message.payload)
         elif ptype == PacketType.SUPERSTEP_ADVANCE:
             self._on_advance(message.payload)
-        elif ptype == PacketType.VERTEX_MSG:
-            self._on_vertex_msg(message.payload, message.src)
-        elif ptype == PacketType.REPLICA_SYNC:
-            self._on_replica_sync(message.payload, message.src)
-        elif ptype == PacketType.REPLICA_VALUE:
-            self._on_replica_value(message.payload, message.src)
+        elif ptype in COALESCED_TYPES:
+            self._on_data(ptype, message.payload, message.src)
         elif ptype == PacketType.VERTEX_MSG_ACK:
             self._on_data_ack(message.payload)
         elif ptype == PacketType.RECOVER:
@@ -655,7 +666,7 @@ class Agent(Entity):
         routed edge still owes when its source first scatters (the
         cached probe part is charged per send by _scatter_direction)."""
         costs = self.config.costs
-        width, depth = self.config.sketch_width, self.config.sketch_depth
+        width, depth = self.config.sketch_width, SKETCH_DEPTH
         ring_positions = max(1, len(self.ring) * self.config.virtual_factor)
         return costs.placement_lookup_cost(
             width, depth, ring_positions
@@ -666,7 +677,7 @@ class Agent(Entity):
         full sketch+ring rate, hits at the reduced memo-probe rate (see
         ``CostModel.elga_lookup_cached``)."""
         costs = self.config.costs
-        width, depth = self.config.sketch_width, self.config.sketch_depth
+        width, depth = self.config.sketch_width, SKETCH_DEPTH
         ring_positions = max(1, len(self.ring) * self.config.virtual_factor)
         cache = self._placement_cache
         self.charge(
@@ -775,7 +786,7 @@ class Agent(Entity):
                 self.sketch_delta.remove(removes)
             self._delta_count += n_applied
             self._check_split_threshold(np.unique(inserts))
-            if self._delta_count >= self.config.sketch_flush_every:
+            if self._delta_count >= SKETCH_FLUSH_EVERY:
                 self.flush_sketch()
 
         # Migrated vertex state rides along with the edges — but only
@@ -1307,7 +1318,7 @@ class Agent(Entity):
                 "dst": dst[s:e],
                 "val": val[s:e],
             }
-            self._emit_data(int(owners[s]), PacketType.VERTEX_MSG, payload)
+            run.buffers.add(int(owners[s]), PacketType.VERTEX_MSG, payload)
 
     # ------------------------------------------------------------------
     # run lifecycle: rounds
@@ -1358,10 +1369,8 @@ class Agent(Entity):
         under their rounds; ``_replay_future`` drains them in order."""
         if not self._pre_run_data:
             return
-        for kind, data_payload, src in self._pre_run_data:
-            run.future_buffer.setdefault(data_payload["round"], []).append(
-                {"kind": kind, "payload": data_payload, "src": src}
-            )
+        for ptype, payload in self._pre_run_data:
+            run.future_buffer.setdefault(payload["round"], []).append((ptype, payload))
         self._pre_run_data = []
 
     def _on_advance(self, payload: dict) -> None:
@@ -1542,29 +1551,11 @@ class Agent(Entity):
                     "got": got[idx],
                     "outdeg": outdeg[idx],
                 }
-                self._emit_data(int(p_sorted[s]), PacketType.REPLICA_SYNC, payload)
+                run.buffers.add(int(p_sorted[s]), PacketType.REPLICA_SYNC, payload)
                 self.metrics.replica_syncs += 1
             run.expected_values.update(int(v) for v in verts[rest])
         # A primary with zero remote partials outstanding can apply now.
         self._maybe_apply_split()
-
-    def _on_replica_sync(self, payload: dict, src: int) -> None:
-        if self._stale_data(payload):
-            return
-        run = self.run
-        if run is None:
-            self._pre_run_data.append(("sync", payload, src))
-            self._ack_data(src, payload)
-            return
-        if payload["round"] != run.round or not run.initial_work_done:
-            run.future_buffer.setdefault(payload["round"], []).append(
-                {"kind": "sync", "payload": payload, "src": src}
-            )
-            self._ack_data(src, payload)
-            return
-        self._ingest_replica_sync(payload)
-        self._ack_data(src, payload)
-        self._check_ready()
 
     def _ingest_replica_sync(self, payload: dict) -> None:
         run = self.run
@@ -1673,27 +1664,9 @@ class Agent(Entity):
                 "active": np.asarray(act, dtype=bool)[idx],
                 "outdeg": outdeg[idx],
             }
-            self._emit_data(replica, PacketType.REPLICA_VALUE, payload)
+            run.buffers.add(replica, PacketType.REPLICA_VALUE, payload)
         if run.phase != "apply_only":
             self._scatter_positions(tpos)
-
-    def _on_replica_value(self, payload: dict, src: int) -> None:
-        if self._stale_data(payload):
-            return
-        run = self.run
-        if run is None:
-            self._pre_run_data.append(("value", payload, src))
-            self._ack_data(src, payload)
-            return
-        if payload["round"] != run.round or not run.initial_work_done:
-            run.future_buffer.setdefault(payload["round"], []).append(
-                {"kind": "value", "payload": payload, "src": src}
-            )
-            self._ack_data(src, payload)
-            return
-        self._ingest_replica_value(payload)
-        self._ack_data(src, payload)
-        self._check_ready()
 
     def _ingest_replica_value(self, payload: dict) -> None:
         run = self.run
@@ -1789,7 +1762,7 @@ class Agent(Entity):
         # charged at the reduced cached rate.
         lookup = costs.placement_lookup_cost(
             self.config.sketch_width,
-            self.config.sketch_depth,
+            SKETCH_DEPTH,
             ring_positions,
             cached=True,
         )
@@ -1809,20 +1782,21 @@ class Agent(Entity):
                 "dst": dst_raw[start:end][mask],
                 "val": values[seg_src[mask]],
             }
-            self._emit_data(agent_id, PacketType.VERTEX_MSG, payload)
+            run.buffers.add(agent_id, PacketType.VERTEX_MSG, payload)
 
     # ------------------------------------------------------------------
     # message aggregation
     # ------------------------------------------------------------------
 
-    def _on_vertex_msg(self, payload: dict, src: int) -> None:
+    def _on_data(self, ptype: PacketType, payload: dict, src: int) -> None:
+        """Receive one VERTEX_MSG / REPLICA_SYNC / REPLICA_VALUE packet."""
         if self._stale_data(payload):
             return
         run = self.run
         if run is None:
             # Joined mid-suspension: the run bootstrap rides on the
             # resume broadcast, which may arrive after peers' data.
-            self._pre_run_data.append(("msg", payload, src))
+            self._pre_run_data.append((ptype, payload))
             self._ack_data(src, payload)
             return
         if run.spec.mode == "async":
@@ -1831,54 +1805,47 @@ class Agent(Entity):
         if payload["round"] != run.round or not run.initial_work_done:
             # "If it is for an iteration in the future, the packet is
             # stored until the computation can catch up."
-            run.future_buffer.setdefault(payload["round"], []).append(
-                {"kind": "msg", "payload": payload, "src": src}
-            )
+            run.future_buffer.setdefault(payload["round"], []).append((ptype, payload))
             self._ack_data(src, payload)
             return
-        self._aggregate_remote(payload)
+        if ptype == PacketType.VERTEX_MSG:
+            # Only a directly delivered message pays the receive op:
+            # local batches and future-round replays do not.
+            self.charge(self.config.costs.elga_msg_op)
+        self._ingest_data(ptype, payload)
         self._ack_data(src, payload)
         self._check_ready()
 
-    def _aggregate_local(self, payload: dict) -> None:
-        self._aggregate(payload)
-
-    def _aggregate_remote(self, payload: dict) -> None:
-        self.charge(self.config.costs.elga_msg_op)
-        self._aggregate(payload)
+    def _ingest_data(self, ptype: PacketType, payload: dict) -> None:
+        """File one current-round data packet into the run's state."""
+        if ptype == PacketType.VERTEX_MSG:
+            self._aggregate(payload)
+        elif ptype == PacketType.REPLICA_SYNC:
+            self._ingest_replica_sync(payload)
+        else:
+            self._ingest_replica_value(payload)
 
     def _aggregate(self, payload: dict) -> None:
         """Buffer one message batch for this round.
 
-        Without coalescing, the raw batch is kept and
-        :meth:`_flush_pending_msgs` sorts the round's full (dst, val)
-        multiset canonically before reducing it — the seed behaviour.
-
-        With coalescing, a batch is exactly one sender's full round
-        emission, and level 1 of the canonical reduction runs *now*:
-        the batch folds to one partial per destination vertex (in
-        (dst, val)-sorted order, via ``combine_pairs``), so peak
-        buffer memory is O(unique dst) instead of O(pairs).  Combined
-        packets (combining on, cluster-wide config) already carry
-        exactly that reduction, computed sender-side on identical
-        contents in identical order — bit-identical by construction.
-        Either way the accumulator floats are the same whether the
+        A batch is exactly one sender's full round emission toward this
+        agent, already folded sender-side to one partial per
+        destination vertex (level 1 of the canonical reduction, in
+        (dst, val)-sorted order via ``combine_pairs``).
+        :meth:`_flush_pending_msgs` folds the partials across senders
+        (level 2), so the accumulator floats are the same whether the
         fabric delivered in order, out of order, or via chaos-delayed
         retries.
         """
-        run = self.run
         dst = np.asarray(payload["dst"], dtype=np.int64)
         val = np.asarray(payload["val"], dtype=np.float64)
         self.charge(self.config.costs.elga_vertex_op * len(dst))
-        if self.config.coalescing and not self.config.combining and len(dst):
-            dst, val = combine_pairs(dst, val, run.program.ufunc, run.program.identity)
-        run.pending_msgs.append((dst, val))
+        self.run.pending_msgs.append((dst, val))
 
     def _flush_pending_msgs(self) -> None:
-        """Fold the buffered round's batches into the accumulators in
-        canonical (dst, value) order — a deterministic reduction of the
-        buffered multiset (raw pairs in the legacy path, per-sender
-        partials under coalescing)."""
+        """Fold the buffered round's per-sender partials into the
+        accumulators in canonical (dst, value) order — a deterministic
+        reduction of the buffered multiset."""
         run = self.run
         if not run.pending_msgs:
             return
@@ -1901,30 +1868,12 @@ class Agent(Entity):
 
     def _replay_future(self, step: int) -> None:
         run = self.run
-        buffered = run.future_buffer.pop(run.round, [])
-        for item in buffered:
-            if item["kind"] == "msg":
-                self._aggregate(item["payload"])
-            elif item["kind"] == "sync":
-                self._ingest_replica_sync(item["payload"])
-            else:
-                self._ingest_replica_value(item["payload"])
+        for ptype, payload in run.future_buffer.pop(run.round, []):
+            self._ingest_data(ptype, payload)
 
     # ------------------------------------------------------------------
     # barrier (Figure 2)
     # ------------------------------------------------------------------
-
-    def _emit_data(self, agent_id: int, ptype: PacketType, payload: dict) -> None:
-        """Route one data-plane emission: held in the round buffers
-        while coalescing (one struct-of-arrays packet per destination
-        and type ships at flush time), or sent immediately in the
-        legacy packet-per-emission mode."""
-        if self.config.coalescing:
-            self.run.buffers.add(agent_id, ptype, payload)
-        elif ptype == PacketType.VERTEX_MSG and agent_id == self.agent_id:
-            self._aggregate_local(payload)
-        else:
-            self._send_data(agent_id, ptype, payload)
 
     def _flush_data_buffers(self) -> None:
         """Ship this round's coalesced packets, gated on choreography.
@@ -1941,7 +1890,7 @@ class Agent(Entity):
         depends on VERTEX_MSG delivery within a round.
         """
         run = self.run
-        if run is None or not self.config.coalescing or run.buffers.empty:
+        if run is None or run.buffers.empty:
             return
         tracer = self.network.tracer
         if tracer is None:
@@ -1981,17 +1930,16 @@ class Agent(Entity):
         program = run.program
         for agent_id, n_emits, payload in buffers.drain_vertex_msgs(run.step, run.round):
             self.metrics.packets_coalesced += n_emits - 1
-            if self.config.combining:
-                pairs_in = len(payload["dst"])
-                payload["dst"], payload["val"] = combine_pairs(
-                    payload["dst"], payload["val"], program.ufunc, program.identity
-                )
-                self.charge(costs.combine_cost(pairs_in))
-                self.perf.add("combine_pairs_in", pairs_in)
-                self.perf.add("combine_pairs_out", len(payload["dst"]))
-                self.metrics.pairs_combined += pairs_in - len(payload["dst"])
+            pairs_in = len(payload["dst"])
+            payload["dst"], payload["val"] = combine_pairs(
+                payload["dst"], payload["val"], program.ufunc, program.identity
+            )
+            self.charge(costs.combine_cost(pairs_in))
+            self.perf.add("combine_pairs_in", pairs_in)
+            self.perf.add("combine_pairs_out", len(payload["dst"]))
+            self.metrics.pairs_combined += pairs_in - len(payload["dst"])
             if agent_id == self.agent_id:
-                self._aggregate_local(payload)
+                self._aggregate(payload)
             else:
                 self._send_data(agent_id, PacketType.VERTEX_MSG, payload)
 
@@ -2007,20 +1955,15 @@ class Agent(Entity):
         sender's ack accounting was reset by the rollback)."""
         return int(payload.get("inc", 0)) < self._data_inc
 
-    def _ack_data(self, src: int, payload: Optional[dict] = None) -> None:
-        """Acknowledge one data-plane packet: immediately, or — with an
-        ack-batch window — as a credit that a single cumulative
-        VERTEX_MSG_ACK per (sender, incarnation) covers shortly."""
-        inc = int(payload.get("inc", 0)) if payload else self._data_inc
-        window = self.config.ack_batch_window
-        if window <= 0:
-            self.push.push(src, PacketType.VERTEX_MSG_ACK, {"inc": inc, "count": 1})
-            return
-        key = (src, inc)
+    def _ack_data(self, src: int, payload: dict) -> None:
+        """Acknowledge one data-plane packet as a credit that a single
+        cumulative VERTEX_MSG_ACK per (sender, incarnation) covers once
+        :data:`ACK_BATCH_WINDOW` has passed."""
+        key = (src, int(payload.get("inc", 0)))
         self._ack_credits[key] = self._ack_credits.get(key, 0) + 1
         if not self._ack_flush_scheduled:
             self._ack_flush_scheduled = True
-            self.kernel.schedule(window, self._flush_acks)
+            self.kernel.schedule(ACK_BATCH_WINDOW, self._flush_acks)
 
     def _flush_acks(self) -> None:
         self._ack_flush_scheduled = False
@@ -2222,8 +2165,7 @@ class Agent(Entity):
 
     def _rehome_backoff(self) -> float:
         return min(
-            self.config.master_query_timeout
-            * self.config.master_query_backoff ** min(self._rehome_attempts, 10),
+            MASTER_QUERY_TIMEOUT * MASTER_QUERY_BACKOFF ** min(self._rehome_attempts, 10),
             0.1,
         )
 
@@ -2251,7 +2193,7 @@ class Agent(Entity):
 
     def _retry_rehome(self, delay: Optional[float] = None) -> None:
         self._rehome_attempts += 1
-        if self._rehome_attempts > self.config.master_query_retries:
+        if self._rehome_attempts > MASTER_QUERY_RETRIES:
             # Give up for now; the heartbeat chain restarts the attempt.
             self._rehome_pending = False
             return

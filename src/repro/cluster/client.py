@@ -37,7 +37,12 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.counters import PerfCounters
-from repro.cluster.config import ClusterConfig
+from repro.cluster.config import (
+    MASTER_QUERY_BACKOFF,
+    MASTER_QUERY_RETRIES,
+    MASTER_QUERY_TIMEOUT,
+    ClusterConfig,
+)
 from repro.cluster.directory import DirectoryState
 from repro.hashing.ring import ConsistentHashRing
 from repro.net.message import Message, PacketType
@@ -58,6 +63,17 @@ _NO_SNAPSHOT: Tuple[int, int] = (-1, -1)
 #: bound means replicas *permanently* disagree — a protocol bug worth a
 #: loud failure, not an infinite silent retry loop.
 _MAX_SNAPSHOT_RETRIES = 256
+
+#: Maximum (program, vertex) entries a proxy's result cache holds; the
+#: oldest entry is evicted first (insertion order).
+SERVING_CACHE_CAPACITY = 65536
+
+#: Retry-after hint (simulated seconds) returned to a shed query.
+SERVING_RETRY_AFTER = 1e-3
+
+#: Simulated seconds a proxy waits before re-issuing a fan-out whose
+#: replica replies straddled two snapshots.
+SERVING_SNAPSHOT_BACKOFF = 2e-4
 
 
 class _Waiter:
@@ -135,7 +151,7 @@ class ClientProxy(Entity):
         self.snapshot_retries = 0
         self.snapshot_value_merges = 0
         self.cache: Optional[ResultCache] = (
-            ResultCache(config.serving_cache_ttl, config.serving_cache_capacity)
+            ResultCache(config.serving_cache_ttl, SERVING_CACHE_CAPACITY)
             if config.serving_cache_ttl > 0
             else None
         )
@@ -305,9 +321,9 @@ class ClientProxy(Entity):
         self._query_master()
 
     def _rehome_backoff(self) -> float:
-        base = self.config.master_query_timeout
-        factor = self.config.master_query_backoff
-        return min(base * factor ** min(self._rehome_attempts, 10), 0.1)
+        return min(
+            MASTER_QUERY_TIMEOUT * MASTER_QUERY_BACKOFF ** min(self._rehome_attempts, 10), 0.1
+        )
 
     def _query_master(self) -> None:
         if self.master_address is None:
@@ -326,8 +342,7 @@ class ClientProxy(Entity):
             self._on_rehome_assign,
         )
         self.kernel.schedule(
-            self.config.master_query_timeout,
-            lambda rid=request_id: self._rehome_timed_out(rid),
+            MASTER_QUERY_TIMEOUT, lambda rid=request_id: self._rehome_timed_out(rid)
         )
 
     def _rehome_timed_out(self, request_id: int) -> None:
@@ -338,7 +353,7 @@ class ClientProxy(Entity):
 
     def _retry_rehome(self, delay: Optional[float] = None) -> None:
         self._rehome_attempts += 1
-        if self._rehome_attempts > self.config.master_query_retries:
+        if self._rehome_attempts > MASTER_QUERY_RETRIES:
             # Give up for now; the next query() re-arms the whole cycle.
             self._rehome_pending = False
             return
@@ -410,7 +425,7 @@ class ClientProxy(Entity):
                     "serving",
                     {"inflight": len(self._pending), "vertex": int(vertex)},
                 )
-            return self.config.serving_retry_after
+            return SERVING_RETRY_AFTER
         vertex = int(vertex)
         token = self._next_token
         self._next_token += 1
@@ -561,8 +576,7 @@ class ClientProxy(Entity):
                 },
             )
         self.kernel.schedule(
-            self.config.serving_snapshot_backoff,
-            lambda f=flight: self._redispatch(f),
+            SERVING_SNAPSHOT_BACKOFF, lambda f=flight: self._redispatch(f)
         )
 
     def _redispatch(self, flight: _Flight) -> None:

@@ -50,9 +50,6 @@ class ElGACluster:
             self.kernel,
             transport=config.transport,
             reliable=config.reliable_transport,
-            retry_timeout=config.retry_timeout,
-            retry_backoff=config.retry_backoff,
-            retry_timeout_cap=config.retry_timeout_cap,
             max_retries=config.max_retries,
         )
         if config.tracing:

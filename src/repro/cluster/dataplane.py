@@ -1,4 +1,4 @@
-"""Data-plane fast path: canonical combining and packet coalescing.
+"""The synchronous data plane: canonical combining and packet coalescing.
 
 ElGA restricts vertex programs to commutative/associative aggregators
 precisely so partial aggregation can happen anywhere in the pipeline
@@ -9,11 +9,11 @@ data plane builds on:
   ``(dst, val)`` multiset into one partial per destination vertex, in
   (dst, val)-lexicographic order, via ``ufunc.at``.  Because the fold
   order is a pure function of the batch *contents*, the result is
-  bit-identical no matter where it runs — on the sender before the
-  packet ships (combining on) or on the receiver when the packet
-  arrives (combining off).  ``ufunc.at`` is deliberate: ``reduceat`` /
-  ``ufunc.reduce`` use pairwise summation whose tree shape depends on
-  segment lengths, which would break bit-equality between paths.
+  bit-identical no matter where it runs; the Agent runs it on the
+  sender, just before a round-packet ships.  ``ufunc.at`` is
+  deliberate: ``reduceat`` / ``ufunc.reduce`` use pairwise summation
+  whose tree shape depends on segment lengths, which would make the
+  result depend on how the pairs were batched.
 
 * :class:`RoundBuffers` — per-(destination agent, packet type) buffers
   that merge every data-plane emission of one superstep round into a
@@ -24,8 +24,8 @@ data plane builds on:
 
 Together they give the two-level reduction the Agent relies on for
 determinism under chaos: level 1 folds each round-packet to one
-partial per vertex (sender- or receiver-side, identically); level 2
-folds the partials across senders in (dst, partial)-sorted order.
+partial per vertex on the sender; level 2 folds the partials across
+senders in (dst, partial)-sorted order on the receiver.
 """
 
 from __future__ import annotations
@@ -73,19 +73,16 @@ class RoundBuffers:
     One superstep round's VERTEX_MSG / REPLICA_SYNC / REPLICA_VALUE
     emissions toward the same agent are held here and merged into a
     single struct-of-arrays packet per (destination, packet type) at
-    flush time.  ``emissions``/``packets`` counters feed the
-    coalescing perf counters.
+    flush time.
     """
 
     def __init__(self) -> None:
         self._buf: Dict[PacketType, Dict[int, List[dict]]] = {
             ptype: {} for ptype in COALESCED_TYPES
         }
-        self.emissions = 0
 
     def add(self, agent_id: int, ptype: PacketType, payload: dict) -> None:
         self._buf[ptype].setdefault(agent_id, []).append(payload)
-        self.emissions += 1
 
     def pending(self, ptype: PacketType) -> bool:
         return bool(self._buf[ptype])

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.cluster.config import ClusterConfig
+from repro.cluster.config import SKETCH_DEPTH, ClusterConfig
 from repro.net.message import Message, PacketType
 from repro.net.sockets import PubSubSocket, ReqRepSocket
 from repro.sim.entity import Entity
@@ -217,7 +217,7 @@ class Directory(Entity):
             version=0,
             batch_id=0,
             agents={},
-            sketch=CountMinSketch(config.sketch_width, config.sketch_depth, seed=config.seed),
+            sketch=CountMinSketch(config.sketch_width, SKETCH_DEPTH, seed=config.seed),
             split_vertices=frozenset(),
         )
         self._weights: Dict[int, float] = {}

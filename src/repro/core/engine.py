@@ -32,6 +32,10 @@ from repro.core.superstep import RunResult, SyncRunController
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.stream import EdgeBatch, REMOVE
 
+#: Simulated seconds after a master crash before the engine restarts it
+#: (the operator's MTTR in the simulation).
+MASTER_RESTART_DELAY = 5e-3
+
 
 class ElGA:
     """An elastic, dynamic graph-analysis deployment.
@@ -275,7 +279,7 @@ class ElGA:
             plain int target crashes that many agents (no drain); a dict
             ``{"agents": n, "lead": bool, "master": bool}`` additionally
             crashes the lead Directory and/or the DirectoryMaster (the
-            master is restarted after ``master_restart_delay``).  Agent
+            master is restarted after :data:`MASTER_RESTART_DELAY`).  Agent
             detection and recovery run through the normal
             heartbeat/checkpoint machinery (requires
             ``heartbeat_interval > 0``); a lead crash requires directory
@@ -472,7 +476,7 @@ class ElGA:
         plan shape) or a dict ``{"agents": n, "lead": bool,
         "master": bool}`` extending the blast radius to the control
         plane.  A crashed master is restarted after
-        ``master_restart_delay`` (the simulated operator's MTTR); a
+        :data:`MASTER_RESTART_DELAY` (the simulated operator's MTTR); a
         crashed lead Directory is *not* — the peers' election replaces
         it."""
         if isinstance(entry, dict):
@@ -488,7 +492,7 @@ class ElGA:
             if master:
                 self.cluster.crash_master()
                 self.cluster.kernel.schedule(
-                    self.config.master_restart_delay, self.cluster.restart_master
+                    MASTER_RESTART_DELAY, self.cluster.restart_master
                 )
             for _ in range(agents):
                 if len(self.cluster.agents) > 1:
@@ -691,8 +695,9 @@ class ElGA:
     def maybe_rebalance(self, summary=None) -> Optional[dict]:
         """Close the loop: observed load -> plan -> fenced adoption.
 
-        Builds a :class:`~repro.rebalance.RebalancePlanner` from the
-        ``rebalance_*`` config knobs and feeds it the per-agent compute
+        Builds a :class:`~repro.rebalance.RebalancePlanner` with the
+        configured ``rebalance_skew_threshold`` (its weight bounds are
+        the planner's defaults) and feeds it the per-agent compute
         totals of ``summary``.  With tracing on and no explicit
         summary, the load signal is the trace *window* recorded since
         the previous call — round ids reset per run, so summarising the
@@ -710,12 +715,7 @@ class ElGA:
         """
         from repro.rebalance import RebalancePlanner, normalize_loads
 
-        planner = RebalancePlanner(
-            skew_threshold=self.config.rebalance_skew_threshold,
-            min_weight=self.config.rebalance_min_weight,
-            max_weight=self.config.rebalance_max_weight,
-            max_weight_delta=self.config.rebalance_max_weight_delta,
-        )
+        planner = RebalancePlanner(skew_threshold=self.config.rebalance_skew_threshold)
         if summary is None and self.tracer is not None:
             summary = self.trace_summary_window()
         live = set(self.cluster.agents)

@@ -181,7 +181,7 @@ class CrashEvent:
     * ``"directory"`` — kill the *lead* Directory (the peers' term
       election replaces it; requires ``dir_lease_interval > 0``);
     * ``"master"`` — kill the DirectoryMaster (the harness restarts it
-      after ``master_restart_delay``).
+      after ``repro.core.engine.MASTER_RESTART_DELAY``).
 
     Control-plane entities have no graceful drain, so non-agent
     targets must be ``abrupt``.
